@@ -14,7 +14,8 @@ Figure 9 shows:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from collections import defaultdict
+from typing import DefaultDict, Dict, List, Optional
 
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
@@ -28,10 +29,12 @@ TARGET_LOAD_FACTOR = 0.8
 
 
 class _CoreState:
-    __slots__ = ("core", "owner", "kind", "request", "batch_run")
+    __slots__ = ("core", "pos", "owner", "kind", "request", "batch_run")
 
-    def __init__(self, core: Core) -> None:
+    def __init__(self, core: Core, pos: int) -> None:
         self.core = core
+        #: position in the system's core order (the idle-held index key)
+        self.pos = pos
         self.owner: Optional[App] = None
         self.kind: Optional[str] = None  # None | "serve" | "idle-held" | "B"
         self.request: Optional[Request] = None
@@ -48,8 +51,14 @@ class ArachneSystem(ColocationSystem):
         super().__init__(sim, machine, rngs, worker_cores)
         self.rng = rngs.stream("arachne")
         self._cores: Dict[int, _CoreState] = {
-            core.id: _CoreState(core) for core in self.worker_cores
+            core.id: _CoreState(core, pos)
+            for pos, core in enumerate(self.worker_cores)
         }
+        #: app name -> {core position: state} of the cores idle-held by
+        #: that app; an arrival wakes the lowest position, which is the
+        #: first idle-held core in core order
+        self._idle_held: DefaultDict[str, Dict[int, _CoreState]] = \
+            defaultdict(dict)
         #: current core grant per L-app
         self._grants: Dict[str, int] = {}
         #: busy ns accumulated per L-app in the current estimator window
@@ -127,6 +136,8 @@ class ArachneSystem(ColocationSystem):
     def _release(self, state: _CoreState) -> None:
         if state.kind == "serve":
             return  # finish the current request first; reaped next window
+        if state.kind == "idle-held":
+            del self._idle_held[state.owner.name][state.pos]
         if state.core.busy:
             state.core.preempt()
         state.owner = None
@@ -159,10 +170,9 @@ class ArachneSystem(ColocationSystem):
     # ------------------------------------------------------------------
     def on_arrival(self, app: App, request: Request) -> None:
         # Wake an idle-held core of this app through the kernel.
-        state = queues.first_where(
-            self._cores.values(),
-            lambda s: s.owner is app and s.kind == "idle-held")
-        if state is not None:
+        idle_held = self._idle_held[app.name]
+        if idle_held:
+            state = idle_held.pop(min(idle_held))
             state.kind = "transition"
             state.core.run("kernel", self.costs.arachne_wake_ns,
                            lambda s=state: self._serve(s))
@@ -174,6 +184,7 @@ class ArachneSystem(ColocationSystem):
             # Arachne blocks the worker on a kernel futex; the core stays
             # granted to the app (idle from the machine's perspective).
             state.kind = "idle-held"
+            self._idle_held[app.name][state.pos] = state
             state.core.set_idle()
             return
         state.kind = "serve"

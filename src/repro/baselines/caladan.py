@@ -21,7 +21,8 @@ Construct variants with :func:`caladan_dr_l` / :func:`caladan_dr_h`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from collections import defaultdict
+from typing import DefaultDict, Dict, List, Optional, Set
 
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
@@ -33,10 +34,12 @@ from repro.workloads.base import App, Request
 
 
 class _CoreState:
-    __slots__ = ("core", "owner", "kind", "request", "batch_run")
+    __slots__ = ("core", "pos", "owner", "kind", "request", "batch_run")
 
-    def __init__(self, core: Core) -> None:
+    def __init__(self, core: Core, pos: int) -> None:
         self.core = core
+        #: position in the system's core order (the spinner index key)
+        self.pos = pos
         self.owner: Optional[App] = None
         #: None | "serve" | "spin" | "B" | "transition"
         self.kind: Optional[str] = None
@@ -63,6 +66,9 @@ class CaladanSystem(ColocationSystem):
         self.bw_cap_gbps = bw_cap_gbps
         self._bw_meter = None
         self._bw_throttled = False
+        #: smoothed GB/s per running core of the capped app; None until
+        #: the first sample with the app running
+        self._bw_per_core: Optional[float] = None
         self.delay_lo_ns = delay_lo_ns
         self.delay_hi_ns = delay_hi_ns
         #: the Delay-Range rework also made the IOKernel react to
@@ -73,8 +79,14 @@ class CaladanSystem(ColocationSystem):
         self.pipeline = KernelReallocPipeline(self.costs,
                                               ledger=self.ledger)
         self._cores: Dict[int, _CoreState] = {
-            core.id: _CoreState(core) for core in self.worker_cores
+            core.id: _CoreState(core, pos)
+            for pos, core in enumerate(self.worker_cores)
         }
+        #: app name -> {core position: state} of the cores spinning in
+        #: that app; an arrival wakes the lowest position, which is the
+        #: first spinner in core order
+        self._spinning: DefaultDict[str, Dict[int, _CoreState]] = \
+            defaultdict(dict)
         self._react_pending: Set[str] = set()
         self.reallocations = 0
         self.rebinds = 0
@@ -115,10 +127,9 @@ class CaladanSystem(ColocationSystem):
     # ------------------------------------------------------------------
     def on_arrival(self, app: App, request: Request) -> None:
         # A core spinning inside this app picks the request up directly.
-        spinner = queues.first_where(
-            self._cores.values(),
-            lambda s: s.owner is app and s.kind == "spin")
-        if spinner is not None:
+        spinners = self._spinning[app.name]
+        if spinners:
+            spinner = spinners.pop(min(spinners))
             spinner.core.preempt()  # end the spin early
             self._serve(spinner)
             return
@@ -187,9 +198,10 @@ class CaladanSystem(ColocationSystem):
         consumed = self._bw_meter.sample_gbps()
         if running and consumed > 0:
             per_core = consumed / len(running)
-            self._bw_per_core = (0.7 * getattr(self, "_bw_per_core", per_core)
-                                 + 0.3 * per_core)
-        per_core = getattr(self, "_bw_per_core", None)
+            previous = per_core if self._bw_per_core is None \
+                else self._bw_per_core
+            self._bw_per_core = 0.7 * previous + 0.3 * per_core
+        per_core = self._bw_per_core
         if per_core is None or per_core <= 0:
             return
         allowed = int(self.bw_cap_gbps / per_core)
@@ -316,6 +328,7 @@ class CaladanSystem(ColocationSystem):
         if request is None:
             # Steal inside the app for 2 µs before parking (Figure 7a).
             state.kind = "spin"
+            self._spinning[app.name][state.pos] = state
             state.core.run("runtime", self.costs.caladan_steal_before_park_ns,
                            lambda: self._spin_done(state))
             return
@@ -348,6 +361,7 @@ class CaladanSystem(ColocationSystem):
 
     def _spin_done(self, state: _CoreState) -> None:
         app = state.owner
+        del self._spinning[app.name][state.pos]
         if app.queue:
             self._serve(state)
             return

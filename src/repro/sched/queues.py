@@ -12,6 +12,10 @@ through the same, identically-ordered helpers.
 Determinism contract: every helper iterates its input in the order
 given (core dicts preserve insertion order) and breaks ties toward the
 earliest element, so two runs over the same state pick the same core.
+A system that replaces one of these scans with an incrementally
+maintained index must pick the same core: key the index by position in
+core order and take the minimum, and never iterate an unordered
+container of core states (docs/ARCHITECTURE.md, determinism rule 6).
 """
 
 from __future__ import annotations
