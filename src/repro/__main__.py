@@ -55,7 +55,6 @@ EXPERIMENTS = {
     "overload": "repro.experiments.overload_suite",
     "tracecheck": "repro.experiments.tracecheck",
     "cluster": "repro.experiments.cluster",
-    "fluidcheck": "repro.experiments.fluid_check",
 }
 
 #: scenario entries with their own flag sets (--smoke etc.); a leading
@@ -68,7 +67,6 @@ _CLI_EXPERIMENTS = {
     "overload": "repro.experiments.overload_suite",
     "tracecheck": "repro.experiments.tracecheck",
     "cluster": "repro.experiments.cluster",
-    "fluidcheck": "repro.experiments.fluid_check",
 }
 
 
@@ -166,18 +164,6 @@ def main(argv=None) -> int:
                         default=0,
                         help="capture and print the K slowest requests' "
                              "full stage-span lists after each run")
-    parser.add_argument("--fluid", choices=["off", "on"], default="off",
-                        help="analytically fast-forward eligible runs "
-                             "instead of firing every discrete event; "
-                             "approximate latency tails within a stated "
-                             "tolerance (docs/SIMULATION.md); ineligible "
-                             "runs fall back to the exact engine")
-    parser.add_argument("--engine", choices=["heap", "calendar"],
-                        default="heap",
-                        help="event-queue implementation for the exact "
-                             "engine; 'calendar' buckets near-future "
-                             "timers, firing the identical event "
-                             "sequence")
 
     if argv is None:
         argv = sys.argv[1:]
@@ -212,8 +198,7 @@ def main(argv=None) -> int:
                            net=NetConfig() if args.net else None,
                            policy=args.policy,
                            latency_breakdown=args.latency_breakdown,
-                           trace_requests=max(0, args.trace_requests),
-                           fluid=args.fluid, engine=args.engine)
+                           trace_requests=max(0, args.trace_requests))
     if args.scale == "paper":
         cfg = cfg.scaled(**PAPER_PROFILE)
 

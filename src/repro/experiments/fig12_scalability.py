@@ -14,11 +14,9 @@ declines beyond.
 
 This is by far the heaviest experiment; the default (smoke) profile uses
 short windows and a coarse load grid, so goodput values are quantized to
-the grid.  It is also the headline beneficiary of ``--fluid on``: every
-grid cell here is fluid-eligible (single memcached L-app, linpack batch,
-no fabric), so the whole sweep runs through the analytic fast-forward —
-several times faster at the cost of approximate tails (the tolerance is
-pinned by ``python -m repro fluidcheck``; see docs/SIMULATION.md).
+the grid.  Every cell runs on the exact event engine: the goodput search
+is decided by P999 at the SLO boundary, which an analytic fast-forward
+misjudged (it reported Caladan gaining beyond 34 cores).
 """
 
 from __future__ import annotations

@@ -201,7 +201,7 @@ def _kernel_churn_cycle(seed: int) -> Tuple[int, str]:
     return cycles, "cycles"
 
 
-def _fig12_cells(seed: int, fluid: str) -> Tuple[int, str]:
+def _kernel_fig12_exact(seed: int) -> Tuple[int, str]:
     """The fig12 scalability inner cells at their heaviest core counts
     (VESSEL at 42 workers, Caladan at 34, load 0.45, bursty)."""
     from repro.experiments.common import ExperimentConfig, run_colocation
@@ -210,25 +210,13 @@ def _fig12_cells(seed: int, fluid: str) -> Tuple[int, str]:
     for system, workers, rate in (("vessel", 42, 18.9),
                                   ("caladan", 34, 15.3)):
         cfg = ExperimentConfig(seed=seed, num_workers=workers, sim_ms=6,
-                               warmup_ms=2, bursty=True, fluid=fluid)
+                               warmup_ms=2, bursty=True)
         report = run_colocation(
             system, cfg,
             l_specs=[("memcached", "memcached", rate)],
             b_specs=("linpack",))
         events += report.events_fired + sum(report.completed.values())
     return events, "events"
-
-
-def _kernel_fig12_exact(seed: int) -> Tuple[int, str]:
-    """fig12's heaviest cells through the exact discrete engine."""
-    return _fig12_cells(seed, "off")
-
-
-def _kernel_fig12_fluid(seed: int) -> Tuple[int, str]:
-    """The same cells with --fluid on: vectorized arrival pre-draws plus
-    analytic core/queue fast-forward.  The wall-clock ratio against
-    fig12-exact is the headline hybrid-engine speedup."""
-    return _fig12_cells(seed, "on")
 
 
 def _kernel_cluster_lb(seed: int) -> Tuple[int, str]:
@@ -265,14 +253,13 @@ KERNELS: Dict[str, Callable[[int], Tuple[int, str]]] = {
     "flight-overhead": _kernel_flight_overhead,
     "churn-cycle": _kernel_churn_cycle,
     "fig12-exact": _kernel_fig12_exact,
-    "fig12-fluid": _kernel_fig12_fluid,
     "cluster-lb": _kernel_cluster_lb,
 }
 
 #: the cheap subset the CI bench job runs (fails on >25 % regression)
 SMOKE_KERNELS = ("engine-churn", "switch-pingpong", "colo-vessel",
                  "policy-dispatch", "flight-overhead", "churn-cycle",
-                 "fig12-fluid", "cluster-lb")
+                 "cluster-lb")
 
 
 def _calibrate() -> float:

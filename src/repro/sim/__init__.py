@@ -1,13 +1,12 @@
 """Deterministic discrete-event simulation kernel.
 
 All simulated time is integer nanoseconds.  The engine provides cancellable
-events, a coroutine-style process abstraction, deterministic named RNG
-streams, and the measurement primitives (latency recorders, time-weighted
-values, busy-time accounting) used by every experiment in the reproduction.
+events, deterministic named RNG streams, and the measurement primitives
+(latency recorders, time-weighted values, busy-time accounting) used by
+every experiment in the reproduction.
 """
 
 from repro.sim.engine import Event, Simulator, SimulationError
-from repro.sim.process import Proc, Timeout, WaitFor, Interrupt
 from repro.sim.rng import RngStreams
 from repro.sim.stats import (
     BusyAccounter,
@@ -23,10 +22,6 @@ __all__ = [
     "Event",
     "Simulator",
     "SimulationError",
-    "Proc",
-    "Timeout",
-    "WaitFor",
-    "Interrupt",
     "RngStreams",
     "LatencyRecorder",
     "Counter",

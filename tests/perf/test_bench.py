@@ -24,6 +24,18 @@ def test_check_regressions_flags_only_beyond_tolerance():
     assert failures[0].startswith("b:")
 
 
+def test_check_regressions_ignores_reference_only_kernels():
+    # Old records keep rows for retired kernels (fig12-fluid); the gate
+    # compares only what the current run timed.
+    reference = {"kernels": {"fig12-exact": {"normalized": 1.0},
+                             "fig12-fluid": {"normalized": 0.01}}}
+    current = {"kernels": {"fig12-exact": {"normalized": 1.1}}}
+    assert bench.check_regressions(current, reference, tolerance=0.25) \
+        == []
+    assert "fig12-fluid" not in bench.KERNELS
+    assert set(bench.SMOKE_KERNELS) <= set(bench.KERNELS)
+
+
 def test_latest_record_prefers_dated_and_respects_exclude(tmp_path):
     baseline = tmp_path / bench.BASELINE_NAME
     dated_old = tmp_path / "BENCH_2026-01-01.json"
