@@ -335,7 +335,7 @@ class CaladanSystem(ColocationSystem):
         state.kind = "serve"
         state.request = request
         self.begin_service(request, core_id=state.core.id)
-        state.core.run(f"app:{app.name}", self.effective_service_ns(request),
+        state.core.run(app.category, self.effective_service_ns(request),
                        lambda: self._request_done(state, request))
 
     def _request_done(self, state: _CoreState, request: Request) -> None:

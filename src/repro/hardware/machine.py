@@ -46,7 +46,9 @@ class Core:
         self._since = sim.now
         self._segment_event: Optional[Event] = None
         self._segment_end = 0
-        self._on_done: Optional[Callable[[], None]] = None
+        self._on_done: Optional[Callable[..., None]] = None
+        #: positional arguments ``_on_done`` is called with
+        self._on_done_args: tuple = ()
         #: opaque scheduler-owned state (current thread, app, ...)
         self.context: Any = None
         #: optional execution tracer (repro.sim.trace.Tracer)
@@ -58,9 +60,10 @@ class Core:
     # Accounting
     # ------------------------------------------------------------------
     def _switch_category(self, category: str) -> None:
-        # Fires on every segment start/stop of every core; the bucket
-        # update is inlined (acct.charge's negative check is redundant
-        # here because ``elapsed > 0`` already guards it).
+        # The cold-path category change; :meth:`run` and
+        # :meth:`_complete` repeat this bucket update inline because
+        # they fire on every segment of every core.  ``acct.charge``'s
+        # negative check is redundant: ``elapsed > 0`` guards it.
         now = self.sim.now
         elapsed = now - self._since
         if elapsed > 0:
@@ -88,11 +91,15 @@ class Core:
         return self._segment_event is not None
 
     def run(self, category: str, duration_ns: int,
-            on_done: Optional[Callable[[], None]] = None) -> None:
+            on_done: Optional[Callable[..., None]] = None,
+            *args: Any) -> None:
         """Execute ``duration_ns`` of work attributed to ``category``.
 
-        ``on_done`` fires when the segment completes (not if preempted).
-        Starting a segment while one is in flight is a scheduler bug.
+        ``on_done(*args)`` fires when the segment completes (not if
+        preempted); passing the arguments here, the way
+        :meth:`Simulator.after` takes them, spares hot callers a
+        closure per segment.  Starting a segment while one is in flight
+        is a scheduler bug.
         """
         if self.wedged:
             raise SimulationError(f"core {self.id} is wedged")
@@ -100,18 +107,35 @@ class Core:
             raise SimulationError(f"core {self.id} is already busy")
         if duration_ns < 0:
             raise SimulationError(f"negative duration {duration_ns}")
-        self._switch_category(category)
+        sim = self.sim
+        now = sim.now
+        elapsed = now - self._since
+        if elapsed > 0:
+            buckets = self.acct.buckets
+            previous = self._category
+            buckets[previous] = buckets.get(previous, 0) + elapsed
+            if self.tracer is not None:
+                self.tracer.record(self.id, self._since, now, previous)
+        self._category = category
+        self._since = now
         self._on_done = on_done
-        self._segment_end = self.sim.now + duration_ns
-        self._segment_event = self.sim.after(duration_ns, self._complete)
+        self._on_done_args = args
+        self._segment_end = now + duration_ns
+        self._segment_event = sim.after(duration_ns, self._complete)
+
+    def _drop_segment(self) -> None:
+        """Cancel the in-flight segment and forget its callback (and
+        the arguments, which may hold a request alive)."""
+        self._segment_event.cancel()
+        self._segment_event = None
+        self._on_done = None
+        self._on_done_args = ()
 
     def preempt(self) -> int:
         """Cancel the in-flight segment; returns remaining nanoseconds."""
         if self._segment_event is None:
             raise SimulationError(f"core {self.id} has no segment to preempt")
-        self._segment_event.cancel()
-        self._segment_event = None
-        self._on_done = None
+        self._drop_segment()
         remaining = self._segment_end - self.sim.now
         self._switch_category("idle")
         return max(0, remaining)
@@ -132,19 +156,29 @@ class Core:
         containment visible in the accounting buckets.
         """
         if self._segment_event is not None:
-            self._segment_event.cancel()
-            self._segment_event = None
-            self._on_done = None
+            self._drop_segment()
         self.wedged = True
         self._switch_category("wedged")
         self.mode = CoreMode.KERNEL
 
     def _complete(self) -> None:
         self._segment_event = None
-        self._switch_category("idle")
-        callback, self._on_done = self._on_done, None
+        now = self.sim.now
+        elapsed = now - self._since
+        if elapsed > 0:
+            buckets = self.acct.buckets
+            previous = self._category
+            buckets[previous] = buckets.get(previous, 0) + elapsed
+            if self.tracer is not None:
+                self.tracer.record(self.id, self._since, now, previous)
+        self._category = "idle"
+        self._since = now
+        callback = self._on_done
         if callback is not None:
-            callback()
+            args = self._on_done_args
+            self._on_done = None
+            self._on_done_args = ()
+            callback(*args)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Core {self.id} {self._category} mode={self.mode.value}>"

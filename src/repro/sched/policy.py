@@ -239,15 +239,14 @@ class SchedPolicy:
         updated core states.
         """
         app = app_state.app
-        # Fast-outs first: with nothing queued or nothing parked the
-        # deficit is <= 0 and no decision can come out, so skip the
-        # O(threads) active count (this is the steady-state path — the
-        # tick re-dispatch calls here for every backlogged app).
+        # With nothing queued or nothing parked the deficit is <= 0 and
+        # no decision can come out (the steady-state path: the tick
+        # re-dispatch calls here for every backlogged app).
         if not app.queue or not app_state.parked:
             return
-        from repro.uprocess.threads import UThreadState
-        active = sum(1 for t in app_state.threads
-                     if t.state is UThreadState.RUNNING)
+        # The uProcess keeps its RUNNING count incrementally (see
+        # ``UThread.state``), so this is O(1) in the thread count.
+        active = app_state.uproc.running
         deficit = min(len(app.queue) - active - app_state.queued_servers,
                       len(app_state.parked), self.activation_burst)
         for _ in range(max(0, deficit)):
@@ -330,9 +329,10 @@ class SchedPolicy:
         latency threads are queued on."""
         if core_state.request is None or not core_state.fifo:
             return None
-        now = self.ctx.now
-        ran = now - (core_state.request.start_ns or now)
-        if ran < self.l_preempt_quantum_ns:
+        start_ns = core_state.request.start_ns
+        if start_ns is None:
+            return None
+        if self.ctx.now - start_ns < self.l_preempt_quantum_ns:
             return None
         return Preempt(core_state.core.id, core_state.thread,
                        core_state.fifo.peek())

@@ -30,6 +30,9 @@ class UThreadState(enum.Enum):
     DEAD = "dead"
 
 
+_RUNNING = UThreadState.RUNNING
+
+
 @dataclass
 class ThreadContext:
     """The saved register state of a suspended thread.
@@ -64,7 +67,7 @@ class UThread:
             rsp=self.stack_base + stack_size,  # stacks grow down
             pc=uproc.slot.text_region.start if uproc.slot.text_region else 0,
         )
-        self.state = UThreadState.RUNNABLE
+        self._state = UThreadState.RUNNABLE
         #: core currently running this thread, if any
         self.core_id: Optional[int] = None
         #: opaque scheduler payload (pending request, batch work, ...)
@@ -78,6 +81,23 @@ class UThread:
         # (reachable through the SMAS's syscall layer); creation costs no
         # modeled nanoseconds because the kernel never participates.
         uproc.smas.syscalls.ledger.count_op("uthread_create", domain="uproc")
+
+    @property
+    def state(self) -> UThreadState:
+        return self._state
+
+    @state.setter
+    def state(self, value: UThreadState) -> None:
+        # The one place a thread enters or leaves RUNNING, so the owning
+        # uProcess's running count stays exact without a recount.
+        previous = self._state
+        if value is previous:
+            return
+        if value is _RUNNING:
+            self.uproc.running += 1
+        elif previous is _RUNNING:
+            self.uproc.running -= 1
+        self._state = value
 
     def destroy(self) -> None:
         """Release the stack and TLS back to the arena."""

@@ -44,6 +44,9 @@ class UProcess:
         self.boot_kprocess = boot_kprocess
         self.state = UProcessState.CREATED
         self.threads: List["UThread"] = []
+        #: how many of ``threads`` are RUNNING; kept in step by the
+        #: ``UThread.state`` setter, so readers never recount
+        self.running = 0
         #: runtime-managed descriptor table: ufd -> file description.
         #: The runtime proxies all file syscalls and checks ownership here
         #: (§5.2.4) — kernel fd numbers never reach application code.

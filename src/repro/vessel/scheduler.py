@@ -239,6 +239,13 @@ class VesselSystem(ColocationSystem):
         self.contained_crashes = 0
         self.sched_restarts = 0
         self.rogue_kills = 0
+        #: scheduler-core reaction delay to an arrival: half a scan on
+        #: average, stretched by control-plane congestion.  Every input
+        #: is fixed per system, so it is computed once, here rather than
+        #: in start() because requests may be submitted before start().
+        self._react_ns = int(max(self.costs.sched_react_ns,
+                                 self.effective_scan_ns // 2)
+                             * self.control_plane_factor)
 
     # The quanta are policy parameters now; these properties keep the
     # old ``system.rotation_quantum_ns`` attribute access working.
@@ -348,10 +355,7 @@ class VesselSystem(ColocationSystem):
             # The scheduler core is not polling; requests pile up in the
             # app queue until the liveness watchdog restarts the scan.
             return
-        react = int(max(self.costs.sched_react_ns,
-                        self.effective_scan_ns // 2)
-                    * self.control_plane_factor)
-        self.sim.post(react, self._dispatch_app, state)
+        self.sim.post(self._react_ns, self._dispatch_app, state)
 
     def _dispatch_app(self, state: AppState) -> None:
         """Ensure enough server threads are active for this app's queue."""
@@ -614,7 +618,7 @@ class VesselSystem(ColocationSystem):
                                core=state.core.id, domain="vessel")
         cost = self.costs.umwait_wake_ns + self.switcher.switch(
             state.core, thread, preempt=False)
-        state.core.run("runtime", cost, lambda: self._begin_run(state))
+        state.core.run("runtime", cost, self._begin_run, state)
 
     def _preempt_for(self, state: _CoreState, thread: UThread) -> None:
         """Preempt the BE thread on ``state.core`` in favour of ``thread``.
@@ -755,8 +759,7 @@ class VesselSystem(ColocationSystem):
         if self.ledger.enabled:
             self.ledger.charge("fallback:forced_switch", cost, core=core_id,
                                domain="fallback")
-        state.core.run("kernel", cost,
-                       lambda: self._forced_switch_done(state, thread))
+        state.core.run("kernel", cost, self._forced_switch_done, state, thread)
 
     def _forced_switch_done(self, state: _CoreState,
                             thread: UThread) -> None:
@@ -829,7 +832,7 @@ class VesselSystem(ColocationSystem):
             # senduipi + delivery already elapsed as event time.
             cost = max(1, cost - self.costs.uintr_send_ns
                        - self.costs.uintr_deliver_ns)
-        state.core.run("runtime", cost, lambda: self._begin_run(state))
+        state.core.run("runtime", cost, self._begin_run, state)
 
     def _begin_run(self, state: _CoreState) -> None:
         thread = state.thread
@@ -876,8 +879,8 @@ class VesselSystem(ColocationSystem):
             return
         state.request = request
         self.begin_service(request, core_id=state.core.id)
-        state.core.run(f"app:{app.name}", self.effective_service_ns(request),
-                       lambda: self._request_done(state, request))
+        state.core.run(app.category, self.effective_service_ns(request),
+                       self._request_done, state, request)
 
     def _request_done(self, state: CoreState, request: Request) -> None:
         state.request = None

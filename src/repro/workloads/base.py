@@ -79,6 +79,8 @@ class App:
                  mean_service_ns: float = 0.0,
                  batch_work: Optional[object] = None) -> None:
         self.name = name
+        #: the core accounting category this app's work is charged to
+        self.category = f"app:{name}"
         self.kind = kind
         #: used for capacity normalization of L-apps
         self.mean_service_ns = mean_service_ns

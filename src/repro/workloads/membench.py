@@ -68,7 +68,7 @@ class MembenchRun:
         work = self.work
         # The core stalls (busy, attributed to the app) while the bus
         # drains the block; completion ends the stall.
-        self.core.run(f"app:{work.app.name}", _STALL_GUARD_NS, None)
+        self.core.run(work.app.category, _STALL_GUARD_NS, None)
         self._transfer = work.bus.start_transfer(
             work.app.name, self.state.remaining_bytes, work.demand_gbps,
             self._memory_phase_done,
@@ -87,7 +87,7 @@ class MembenchRun:
     def _start_compute_phase(self) -> None:
         self._in_compute = True
         self._compute_started = self.core.sim.now
-        self.core.run(f"app:{self.work.app.name}",
+        self.core.run(self.work.app.category,
                       self.state.remaining_compute, self._iteration_done)
 
     def _iteration_done(self) -> None:

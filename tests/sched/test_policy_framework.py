@@ -2,6 +2,8 @@
 validation (containment of buggy policies), and backwards compatibility
 of the pre-framework ``VesselSystem`` surface."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.sim.engine import Simulator
@@ -12,7 +14,9 @@ from repro.hardware.timing import CostModel
 from repro.obs.ledger import OpLedger
 from repro.sched.policy import (
     DEFAULT_L_PREEMPT_QUANTUM_NS, DEFAULT_ROTATION_QUANTUM_NS,
-    Rotate, SchedPolicy, available_policies, make_policy, register_policy)
+    Preempt, Rotate, SchedPolicy, available_policies, make_policy,
+    register_policy)
+from repro.sched.queues import FifoQueue
 from repro.vessel import scheduler as vessel_scheduler
 from repro.vessel.scheduler import VesselSystem
 from repro.vessel.policy import VesselDefaultPolicy
@@ -130,3 +134,39 @@ def test_default_policy_never_rejected():
     assert system.policy_rejects == 0
     assert "policy:rejected" not in ledger.op_counts()
     assert report.completed.get("memcached", 0) > 0
+
+
+# ----------------------------------------------------------------------
+# §4.4 long-request check
+# ----------------------------------------------------------------------
+def _long_request_view(start_ns, now):
+    """A policy bound to a fake context at ``now``, and an "L" core
+    serving a request that started at ``start_ns`` with one thread
+    queued behind it."""
+    policy = SchedPolicy()
+    policy.bind(SimpleNamespace(now=now))
+    fifo = FifoQueue()
+    fifo.append("queued-thread")
+    core_state = SimpleNamespace(
+        core=SimpleNamespace(id=3), fifo=fifo, kind="L",
+        thread="running-thread", request=SimpleNamespace(start_ns=start_ns))
+    return policy, core_state
+
+
+def test_long_request_started_at_time_zero_is_preempted():
+    quantum = DEFAULT_L_PREEMPT_QUANTUM_NS
+    policy, core_state = _long_request_view(start_ns=0, now=quantum)
+    decision = policy.check_long_request(core_state)
+    assert isinstance(decision, Preempt)
+    assert (decision.core_id, decision.victim, decision.incoming) \
+        == (3, "running-thread", "queued-thread")
+
+
+def test_long_request_check_respects_quantum_and_unstarted_requests():
+    quantum = DEFAULT_L_PREEMPT_QUANTUM_NS
+    policy, core_state = _long_request_view(start_ns=0, now=quantum - 1)
+    assert policy.check_long_request(core_state) is None
+    policy, core_state = _long_request_view(start_ns=None, now=10 * quantum)
+    assert policy.check_long_request(core_state) is None
+    policy, core_state = _long_request_view(start_ns=5, now=quantum + 5)
+    assert isinstance(policy.check_long_request(core_state), Preempt)
