@@ -131,7 +131,7 @@ class ArachneSystem(ColocationSystem):
         state.owner = app
         state.kind = "transition"
         state.core.run("kernel", self.costs.arachne_core_grant_ns,
-                       lambda: self._begin(state))
+                       self._begin, state)
 
     def _release(self, state: _CoreState) -> None:
         if state.kind == "serve":
@@ -149,7 +149,7 @@ class ArachneSystem(ColocationSystem):
             state.owner = app
             state.kind = "transition"
             state.core.run("kernel", self.costs.arachne_core_grant_ns,
-                           lambda: self._begin(state))
+                           self._begin, state)
             return
         state.core.set_idle()
 
@@ -175,7 +175,7 @@ class ArachneSystem(ColocationSystem):
             state = idle_held.pop(min(idle_held))
             state.kind = "transition"
             state.core.run("kernel", self.costs.arachne_wake_ns,
-                           lambda s=state: self._serve(s))
+                           self._serve, state)
 
     def _serve(self, state: _CoreState) -> None:
         app = state.owner
@@ -189,12 +189,12 @@ class ArachneSystem(ColocationSystem):
             return
         state.kind = "serve"
         state.request = request
-        self.begin_service(request, core_id=state.core.id)
+        service_ns = self.begin_service(request, core_id=state.core.id)
         self._window_busy[app.name] = (
             self._window_busy.get(app.name, 0) + request.service_ns
         )
-        state.core.run(app.category, self.effective_service_ns(request),
-                       lambda: self._request_done(state, request))
+        state.core.run(app.category, service_ns,
+                       self._request_done, state, request)
 
     def _request_done(self, state: _CoreState, request: Request) -> None:
         request.app.complete(request, self.sim.now)

@@ -85,10 +85,9 @@ class IdealSystem(ColocationSystem):
         if self._pending:
             request = self._pending.popleft()
             state.kind = "L"
-            self.begin_service(request, core_id=state.core.id)
             state.core.run(request.app.category,
-                           self.effective_service_ns(request),
-                           lambda: self._done(state, request))
+                           self.begin_service(request, core_id=state.core.id),
+                           self._done, state, request)
             return
         if self.batch_apps:
             app = self.batch_apps[self._batch_rr % len(self.batch_apps)]

@@ -14,6 +14,7 @@ from typing import Dict, List, Optional
 
 from repro.hardware.uintr import UINTR_DROP
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
+from repro.net.link import LINK_DROP
 
 #: how long a crash/rogue spec waits before re-probing when its victim
 #: app is momentarily off-core
@@ -85,7 +86,6 @@ class FaultInjector:
     # Link dispositions (packet loss / delay on the simulated wire)
     # -------------------------------------------------------------------
     def _link_disposition(self, request, nbytes: int) -> Optional[int]:
-        from repro.net.link import LINK_DROP
         now = self.system.sim.now
         for spec in self._pkt_drop_specs:
             if now >= spec.at_ns and self.rng.random() < spec.probability:

@@ -878,8 +878,8 @@ class VesselSystem(ColocationSystem):
             self._park_thread(state, requeue=False)
             return
         state.request = request
-        self.begin_service(request, core_id=state.core.id)
-        state.core.run(app.category, self.effective_service_ns(request),
+        state.core.run(app.category,
+                       self.begin_service(request, core_id=state.core.id),
                        self._request_done, state, request)
 
     def _request_done(self, state: CoreState, request: Request) -> None:
@@ -1095,11 +1095,14 @@ class VesselSystem(ColocationSystem):
                 # a RUN_THREAD for a *surviving* app must be re-routed to
                 # the core's FIFO — dropping it would strand a thread
                 # that was already claimed out of its app's parked list.
+                # The departing app's own threads are skipped even while
+                # its uProcess is alive (a kill deferred to the cores).
                 for command in self.domain.process_commands(cs.core.id):
                     if command.kind is not CommandKind.RUN_THREAD:
                         continue
                     other = command.payload
-                    if other.state is UThreadState.DEAD \
+                    if other.payload is app \
+                            or other.state is UThreadState.DEAD \
                             or not other.uproc.alive:
                         continue
                     cs.fifo.append(other)

@@ -2,12 +2,37 @@
 
 Each sampler is a callable returning an integer nanosecond service time;
 they carry their analytic mean so capacity math does not need sampling.
+
+The hot samplers run the standard library's own algorithms inline (the
+same uniforms, in the same order, through the same float operations),
+so a draw costs one Python frame instead of three and every draw stays
+bit-identical to the ``random.Random`` method it replaces;
+``tests/workloads/test_stdlib_draws.py`` pins each one to its stdlib
+reference.
 """
 
 from __future__ import annotations
 
-import math
 import random
+from math import exp, log
+from random import NV_MAGICCONST
+
+
+def randint(rng: random.Random, a: int, b: int) -> int:
+    """``rng.randint(a, b)`` in one frame.
+
+    The stdlib goes randint -> randrange -> _randbelow, which draws
+    ``getrandbits(k)`` for the width's bit length until the draw falls
+    below the width; this repeats that rejection loop.
+    """
+    n = b - a + 1
+    if n <= 0:
+        raise ValueError(f"empty range for randint({a}, {b})")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return a + r
 
 
 class ServiceSampler:
@@ -52,13 +77,22 @@ class LognormalService(ServiceSampler):
                  rng: random.Random) -> None:
         if median_ns <= 0 or sigma < 0:
             raise ValueError("median must be positive and sigma >= 0")
-        self.mu = math.log(median_ns)
+        self.mu = log(median_ns)
         self.sigma = sigma
-        self.mean_ns = median_ns * math.exp(sigma * sigma / 2.0)
+        self.mean_ns = median_ns * exp(sigma * sigma / 2.0)
         self.rng = rng
 
     def __call__(self) -> int:
-        return max(1, int(self.rng.lognormvariate(self.mu, self.sigma)))
+        # rng.lognormvariate(mu, sigma): exp of normalvariate's
+        # Kinderman-Monahan ratio-of-uniforms draw.
+        random = self.rng.random
+        while True:
+            u1 = random()
+            u2 = 1.0 - random()
+            z = NV_MAGICCONST * (u1 - 0.5) / u2
+            if z * z / 4.0 <= -log(u2):
+                break
+        return max(1, int(exp(self.mu + z * self.sigma)))
 
 
 class BimodalService(ServiceSampler):

@@ -69,6 +69,9 @@ def test_effective_service_identity_when_decoupled(sim, machine, rngs):
     app = memcached_app()
     request = Request(app, 0, 1234)
     assert system.effective_service_ns(request) == 1234
+    assert system.begin_service(request) == 1234
+    assert system.begin_service(request) == 1234  # a resume
+    assert app.queue_wait.samples == [0]  # the first start only
 
 
 def test_effective_service_inflates_with_bus(sim, machine, rngs):
@@ -79,6 +82,7 @@ def test_effective_service_inflates_with_bus(sim, machine, rngs):
     machine.membus.start_transfer("x", 1e12, machine.membus.capacity * 2)
     inflated = system.effective_service_ns(request)
     assert inflated == pytest.approx(1000 * (1 + 2.0 * 0.5), abs=2)
+    assert system.begin_service(request) == inflated
 
 
 def test_begin_measurement_resets(sim, machine, rngs):

@@ -10,7 +10,7 @@ runs (zoo policy x tenant churn x fault plan).
 
 from collections import Counter
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.experiments.common import (
     ExperimentConfig, l_capacity_mops, run_colocation)
@@ -193,6 +193,9 @@ FAULT = st.tuples(
 @given(policy=st.sampled_from(POLICIES), churn=st.booleans(),
        faults=st.lists(FAULT, max_size=3),
        seed=st.integers(min_value=0, max_value=2**16))
+# A churn retire whose kill is deferred to a running core used to leave
+# the tenant's thread in another core's FIFO (KeyError on its next run).
+@example(policy="default", churn=True, faults=[("drop_uintr", 292)], seed=0)
 def test_running_count_matches_recount_under_chaos(policy, churn, faults,
                                                    seed):
     paths = run_checked(policy, churn, faults, seed)

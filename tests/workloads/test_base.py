@@ -23,6 +23,7 @@ def test_enqueue_and_pop_fifo():
     r2 = Request(app, 5, 100)
     app.enqueue(r1)
     app.enqueue(r2)
+    assert app.offered.value == 2
     assert app.pop_request() is r1
     assert app.pop_request() is r2
     assert app.pop_request() is None
@@ -41,6 +42,12 @@ def test_complete_records_latency():
     app.complete(request, 400)
     assert app.completed.value == 1
     assert app.latency.samples == [300]
+    sent_earlier = Request(app, 100, 50)
+    sent_earlier.client_send_ns = 50  # measured from the client's send
+    app.complete(sent_earlier, 400)
+    assert app.latency.samples == [300, 350]
+    with pytest.raises(ValueError):
+        app.complete(Request(app, 500, 50), 400)
 
 
 def test_reset_measurements_preserves_queue():
